@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..dns.errors import NameError_
-from ..dns.name import DnsName
+from ..dns.name import DnsName, parse_cached
+from ..dns.rdata import RRType, SOA
 from ..geo.regions import PAPER_GROUP_COUNT, paper_groups
+from ..net.clock import year_bounds
 from .provider_id import ProviderMatcher
 from .replication import PdnsReplicationAnalysis, YearState
 
@@ -110,12 +112,10 @@ class CentralizationAnalysis:
             self._groups = paper_groups(top)
         return self._groups
 
-    def _soa_for(self, domain: DnsName, year: int):
-        """Parse the domain's PDNS SOA row active in ``year`` (if any)."""
-        from ..dns.rdata import RRType, SOA
-        from ..net.clock import year_bounds
-
-        start, end = year_bounds(year)
+    def _soa_for(
+        self, domain: DnsName, start: float, end: float
+    ) -> Optional[SOA]:
+        """Parse the domain's PDNS SOA row active in [start, end), if any."""
         for record in self._replication.pdns.lookup(domain, RRType.SOA):
             if not record.active_during(start, end):
                 continue
@@ -140,7 +140,7 @@ class CentralizationAnalysis:
         cached = self._hostnames_cache.get(year)
         if cached is None:
             cached = {
-                domain: tuple(DnsName.parse(h) for h in state.hostnames)
+                domain: tuple(parse_cached(h) for h in state.hostnames)
                 for domain, state in self._replication.year_states()
                 .get(year, {})
                 .items()
@@ -161,11 +161,12 @@ class CentralizationAnalysis:
         if cached is None:
             states = self._replication.year_states().get(year, {})
             hostnames_by_domain = self._year_hostnames(year)
+            start, end = year_bounds(year)
             providers: Dict[DnsName, Tuple[str, ...]] = {}
             for domain in states:
                 matched = self._matcher.providers_of(hostnames_by_domain[domain])
                 if not matched:
-                    soa = self._soa_for(domain, year)
+                    soa = self._soa_for(domain, start, end)
                     if soa is not None:
                         matched = self._matcher.providers_of((), soa=soa)
                 providers[domain] = matched

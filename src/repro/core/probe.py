@@ -49,7 +49,6 @@ discrete-event scheduler (:mod:`repro.net.events`):
 
 from __future__ import annotations
 
-import gc
 import random
 from collections import deque
 from typing import (
@@ -70,6 +69,7 @@ from ..dns.message import Message, Rcode, make_query
 from ..dns.name import DnsName
 from ..dns.rdata import RRType, A
 from ..dns.resolver import Resolver
+from ..inet.gcpause import paused_collector
 from ..net.address import IPv4Address
 from ..net.events import PendingExchange
 from ..net.network import Network
@@ -884,34 +884,25 @@ class ActiveProber:
         # messages, rrsets, and generator frames all die by refcount —
         # so the cycle detector contributes only pause time here (its
         # pauses land on allocation sites inside the loop).  Pause it
-        # for the loop, then pay one *young-generation* collection
-        # before re-enabling: that scans only objects allocated during
-        # the probe (the dataset under construction), not the whole
-        # heap with the world in it, and resets the generation
-        # counters so the deferred debt cannot cascade into a
-        # full-heap pass in whatever phase allocates next (the
-        # analyses, typically).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            dataset = self._probe_all_inner(targets, journal)
-        except BaseException:
-            # Abort path (including the kill-at-event harness): close
-            # without a final checkpoint — every line already written
-            # was flushed, which is all a killed process would have.
-            if journal is not None:
-                journal.close()
-            raise
-        else:
-            if journal is not None:
-                journal.finish(self._network)
-            return dataset
-        finally:
-            if gc_was_enabled:
-                gc.collect(1)
-                gc.enable()
-            self._network.journal = None
+        # for the loop; on the way out it pays one young-generation
+        # collection, which scans only the dataset under construction,
+        # not the whole heap with the world in it.
+        with paused_collector():
+            try:
+                dataset = self._probe_all_inner(targets, journal)
+            except BaseException:
+                # Abort path (including the kill-at-event harness): close
+                # without a final checkpoint — every line already written
+                # was flushed, which is all a killed process would have.
+                if journal is not None:
+                    journal.close()
+                raise
+            else:
+                if journal is not None:
+                    journal.finish(self._network)
+                return dataset
+            finally:
+                self._network.journal = None
 
     def _probe_all_inner(
         self,

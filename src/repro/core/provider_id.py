@@ -69,10 +69,18 @@ class ProviderMatcher:
             for spec in providers
             if spec.soa_rname
         }
+        # match_hostname memo: a provider's nameservers recur across
+        # thousands of domains and every analysis year.
+        self._by_hostname: Dict[DnsName, Optional[str]] = {}
 
     # ------------------------------------------------------------------
     def match_hostname(self, hostname: DnsName) -> Optional[str]:
         """Provider key for one nameserver hostname, or None."""
+        if hostname not in self._by_hostname:
+            self._by_hostname[hostname] = self._match_hostname(hostname)
+        return self._by_hostname[hostname]
+
+    def _match_hostname(self, hostname: DnsName) -> Optional[str]:
         text = str(hostname).rstrip(".")
         if self._use_patterns:
             if _AWS_PATTERN.match(text):

@@ -11,10 +11,11 @@ Two data sources, as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..dns.name import DnsName
+from ..dns.name import DnsName, parse_cached
 from ..dns.rdata import RRType
 from ..net.clock import SECONDS_PER_DAY, year_bounds
 from ..pdns.database import PdnsDatabase
@@ -40,20 +41,16 @@ class CountryMapper:
         }
 
     def country_of(self, name: DnsName) -> Optional[str]:
-        best: Optional[Tuple[int, str]] = None
-        for suffix, iso2 in self._by_suffix.items():
-            if name.is_subdomain_of(suffix):
-                if best is None or len(suffix) > best[0]:
-                    best = (len(suffix), iso2)
-        return best[1] if best is not None else None
+        suffix = self.seed_suffix_of(name)
+        return self._by_suffix[suffix] if suffix is not None else None
 
     def seed_suffix_of(self, name: DnsName) -> Optional[DnsName]:
-        best: Optional[DnsName] = None
-        for suffix in self._by_suffix:
-            if name.is_subdomain_of(suffix):
-                if best is None or len(suffix) > len(best):
-                    best = suffix
-        return best
+        # Ancestors come nearest first, so the first seed suffix met is
+        # the longest one.
+        for ancestor in name.ancestors(include_self=True):
+            if ancestor in self._by_suffix:
+                return ancestor
+        return None
 
 
 @dataclass
@@ -106,10 +103,7 @@ def _mode_of_daily_counts(
 ) -> int:
     """Mode of the per-day active-record count (the paper's Figure-5
     summarization); ties break toward the larger deployment."""
-    durations = _daily_count_durations(intervals, year_start, year_end)
-    if not durations:
-        return 0
-    return max(durations.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    return _summarize_daily_counts(intervals, year_start, year_end, "mode")
 
 
 def _summarize_daily_counts(
@@ -177,26 +171,33 @@ class PdnsReplicationAnalysis:
         return rows
 
     def year_states(self) -> Dict[int, Dict[DnsName, YearState]]:
-        """Per-year, per-domain deployment summaries (cached)."""
+        """Per-year, per-domain deployment summaries (cached).
+
+        One pass per domain: each stable record is filed under every
+        year its lifetime overlaps (a bisect over the year bounds), then
+        each non-empty year is summarized.
+        """
         if self._states is not None:
             return self._states
-        rows = self._domain_rows()
         states: Dict[int, Dict[DnsName, YearState]] = {
             year: {} for year in self._years
         }
-        suffix_cache: Dict[DnsName, Optional[DnsName]] = {}
-        for domain, (iso2, records) in rows.items():
-            seed_suffix = suffix_cache.get(domain)
-            if domain not in suffix_cache:
-                seed_suffix = self._mapper.seed_suffix_of(domain)
-                suffix_cache[domain] = seed_suffix
-            for year in self._years:
-                start, end = year_bounds(year)
-                active = [
-                    r for r in records if r.active_during(start, end)
-                ]
-                if not active:
-                    continue
+        years = sorted(set(self._years))
+        bounds = [year_bounds(year) for year in years]
+        starts = [start for start, _ in bounds]
+        ends = [end for _, end in bounds]
+        for domain, (iso2, records) in self._domain_rows().items():
+            seed_suffix = self._mapper.seed_suffix_of(domain)
+            by_year: Dict[int, List[PdnsRecord]] = {}
+            for record in records:
+                # Active in year i ⇔ first_seen < end_i and last_seen ≥ start_i.
+                for index in range(
+                    bisect_right(ends, record.first_seen),
+                    bisect_right(starts, record.last_seen),
+                ):
+                    by_year.setdefault(index, []).append(record)
+            for index, active in by_year.items():
+                start, end = bounds[index]
                 mode = _summarize_daily_counts(
                     [(r.first_seen, r.last_seen) for r in active],
                     start,
@@ -207,9 +208,10 @@ class PdnsReplicationAnalysis:
                     continue
                 hostnames = tuple(sorted({r.rdata for r in active}))
                 private = bool(seed_suffix) and all(
-                    DnsName.parse(h).is_subdomain_of(seed_suffix)
+                    parse_cached(h).is_subdomain_of(seed_suffix)
                     for h in hostnames
                 )
+                year = years[index]
                 states[year][domain] = YearState(
                     domain=domain,
                     iso2=iso2,

@@ -6,7 +6,8 @@ net < dns < worldgen < zonelint < core``): it holds the value types and
 protocols that both :mod:`repro.net` (the simulated internetwork) and
 :mod:`repro.dns` (the DNS data model) need — IPv4 addresses, the
 simulated clock, the query-transport protocol and its timeout
-exception, and the retransmission backoff policy.  Keeping them here is
+exception, the retransmission backoff policy, and the cycle-collector
+pause that the campaign and the §IV report run under.  Keeping them here is
 what lets ``repro.dns`` stay independent of the transport substrate
 (ARCH001): the data model names addresses and reads simulated time
 without importing the delivery fabric that uses them.
@@ -27,6 +28,7 @@ from .clock import (
     epoch_to_date,
     year_bounds,
 )
+from .gcpause import paused_collector
 from .transport import Host, NetworkError, QueryTimeout, QueryTransport
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "days_in_year",
     "epoch_to_date",
     "year_bounds",
+    "paused_collector",
     "Host",
     "NetworkError",
     "QueryTimeout",

@@ -5,6 +5,10 @@ paper's §IV reports, keyed by artifact id (``fig02`` … ``tab3``);
 ``export_all`` writes them to a directory as ``.txt`` plus
 machine-readable ``.csv`` — the bundle a downstream user wants when
 they say "give me the paper's numbers for my own plots".
+
+Both run with the cycle collector paused (DESIGN.md §13.4): with it
+on, the analyses' allocation churn sets off full-heap passes over the
+whole world and dataset.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from ..inet.gcpause import paused_collector
 from .export import write_csv
 from .figures import Distribution, Series, cdf_points, render_bars, render_series
 from .tables import format_percent, render_table
@@ -318,6 +323,7 @@ _BUILDERS = {
 }
 
 
+@paused_collector()
 def render_all(study) -> Dict[str, str]:
     """artifact id → rendered text, for every §IV table and figure."""
     return {
@@ -325,6 +331,7 @@ def render_all(study) -> Dict[str, str]:
     }
 
 
+@paused_collector()
 def export_all(study, outdir: str) -> Dict[str, Tuple[str, str]]:
     """Write ``<id>.txt`` and ``<id>.csv`` per artifact into ``outdir``.
 

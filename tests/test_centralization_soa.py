@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from repro.core.centralization import CentralizationAnalysis
 from repro.dns.name import DnsName
 from repro.dns.rdata import SOA
+from repro.net.clock import year_bounds
+
+YEAR_2020 = year_bounds(2020)
 
 
 @dataclass
@@ -47,7 +50,7 @@ class TestSoaParseHygiene:
         analysis = analysis_for(
             [FakeRecord("ns1.example.com. hostmaster.example.com. 1 2 3 4 5")]
         )
-        soa = analysis._soa_for(DnsName.parse("a.gov.zz"), 2020)
+        soa = analysis._soa_for(DnsName.parse("a.gov.zz"), *YEAR_2020)
         assert isinstance(soa, SOA)
         assert soa.mname == DnsName.parse("ns1.example.com")
         assert analysis.soa_parse_failures == 0
@@ -59,22 +62,22 @@ class TestSoaParseHygiene:
                 FakeRecord("ns1.example.com. hostmaster.example.com."),
             ]
         )
-        soa = analysis._soa_for(DnsName.parse("a.gov.zz"), 2020)
+        soa = analysis._soa_for(DnsName.parse("a.gov.zz"), *YEAR_2020)
         assert isinstance(soa, SOA)  # falls through to the parseable row
         assert analysis.soa_parse_failures == 1
 
     def test_short_rdata_is_counted(self):
         analysis = analysis_for([FakeRecord("lonetoken")])
-        assert analysis._soa_for(DnsName.parse("a.gov.zz"), 2020) is None
+        assert analysis._soa_for(DnsName.parse("a.gov.zz"), *YEAR_2020) is None
         assert analysis.soa_parse_failures == 1
 
     def test_inactive_records_do_not_count_as_failures(self):
         analysis = analysis_for([FakeRecord("bad..name. x.", active=False)])
-        assert analysis._soa_for(DnsName.parse("a.gov.zz"), 2020) is None
+        assert analysis._soa_for(DnsName.parse("a.gov.zz"), *YEAR_2020) is None
         assert analysis.soa_parse_failures == 0
 
     def test_failures_accumulate_across_calls(self):
         analysis = analysis_for([FakeRecord("bad..name. hostmaster.x.")])
-        analysis._soa_for(DnsName.parse("a.gov.zz"), 2020)
-        analysis._soa_for(DnsName.parse("b.gov.zz"), 2020)
+        analysis._soa_for(DnsName.parse("a.gov.zz"), *YEAR_2020)
+        analysis._soa_for(DnsName.parse("b.gov.zz"), *YEAR_2020)
         assert analysis.soa_parse_failures == 2

@@ -1,12 +1,36 @@
 """Tests for the CLI and the paperkit bundle exporter."""
 
 import csv
+import hashlib
 import io
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.study import GovernmentDnsStudy
 from repro.report.paperkit import ARTIFACTS, export_all, render_all
+from repro.worldgen import WorldConfig, WorldGenerator
+
+
+def bundle_digest(directory):
+    """sha256 over each file's name then bytes, in sorted name order
+    (the benchmark's paperkit digest)."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        digest.update(name.encode())
+        with open(os.path.join(directory, name), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
+# Bundle digests at scale 0.004.  Any change to an analysis or renderer
+# that moves a byte of any artifact changes these.
+PINNED_BUNDLES = {
+    5: "3aad6d1dcc7be6ddfa118da038f08e27d0cf7365c904367bf5ffded3e2a28547",
+    7: "7a9ea1dc725e0dbc07d14a92fd7b79d3ed0c9b7ab91edeb86873495e9edb8716",
+    11: "cc77e2f98bb3a58f9d816f623eb069b19eb238b158972b1a3b0e116d887b7067",
+}
 
 
 class TestPaperkit:
@@ -48,6 +72,18 @@ class TestPaperkit:
         for year_text, domains_text, countries_text in rows:
             year = int(year_text)
             assert fig2[year] == (int(domains_text), int(countries_text))
+
+
+class TestPinnedBundle:
+    def test_session_study_bundle(self, study, tmp_path):
+        export_all(study, str(tmp_path))
+        assert bundle_digest(str(tmp_path)) == PINNED_BUNDLES[7]
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_fresh_world_bundle(self, seed, tmp_path):
+        world = WorldGenerator(WorldConfig(seed=seed, scale=0.004)).generate()
+        export_all(GovernmentDnsStudy(world), str(tmp_path))
+        assert bundle_digest(str(tmp_path)) == PINNED_BUNDLES[seed]
 
 
 class TestCliParser:

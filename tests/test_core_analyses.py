@@ -1,6 +1,8 @@
 """Tests for the §IV analyses: replication, diversity, provider
 identification, centralization, delegation, consistency."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.centralization import MAJOR_PROVIDERS
@@ -58,6 +60,43 @@ class TestCountryMapper:
         assert mapper.country_of(N("x.gov.au")) == "AU"
         assert mapper.country_of(N("deep.thing.go.th")) == "TH"
         assert mapper.country_of(N("x.example.com")) is None
+        assert mapper.seed_suffix_of(N("x.example.com")) is None
+
+    def test_matches_brute_force_longest_suffix(self, study, world):
+        seeds = study.seeds()
+        mapper = CountryMapper(seeds)
+        suffixes = {seed.d_gov: iso2 for iso2, seed in seeds.items()}
+
+        def brute_force(name):
+            matches = [s for s in suffixes if name.is_subdomain_of(s)]
+            return max(matches, key=len) if matches else None
+
+        owners = {record.rrname for record in world.pdns}
+        assert owners
+        for name in owners:
+            expected = brute_force(name)
+            assert mapper.seed_suffix_of(name) == expected, name
+            assert mapper.country_of(name) == (
+                suffixes[expected] if expected is not None else None
+            ), name
+
+    def test_nested_seed_suffixes_longest_wins(self):
+        mapper = CountryMapper(
+            {
+                "ZZ": SimpleNamespace(d_gov=N("gov.zz")),
+                "YY": SimpleNamespace(d_gov=N("state.gov.zz")),
+            }
+        )
+        assert mapper.seed_suffix_of(N("a.state.gov.zz")) == N("state.gov.zz")
+        assert mapper.country_of(N("a.state.gov.zz")) == "YY"
+        assert mapper.country_of(N("state.gov.zz")) == "YY"
+        assert mapper.country_of(N("a.gov.zz")) == "ZZ"
+
+    def test_name_equal_to_a_seed_suffix(self, study):
+        mapper = CountryMapper(study.seeds())
+        for iso2, seed in study.seeds().items():
+            assert mapper.seed_suffix_of(seed.d_gov) == seed.d_gov
+            assert mapper.country_of(seed.d_gov) == iso2
 
 
 class TestPdnsReplication:
